@@ -9,9 +9,11 @@ fast path:
   view over a group of problems (padded sensor x slot arrays plus
   per-family payload arrays), built once per batch;
 - :mod:`~repro.batched.kernels` -- one vectorized marginal-gain kernel
-  per utility family (detection, homogeneous detection, logsum,
-  weighted coverage, area, target-system) that evaluates whole gain
-  columns for every instance of the batch in one numpy pass;
+  per batched family (logsum, weighted coverage, area, target-system)
+  that evaluates whole gain columns for every instance of the batch in
+  one numpy pass.  The detection families have no kernel: their serial
+  key-ordered greedy (:mod:`repro.core.greedy`) is faster per instance,
+  so the executor routes them serially;
 - :func:`~repro.batched.greedy.batched_greedy` -- a lockstep driver
   advancing all instances one placement per round, with per-instance
   termination masks;
@@ -24,11 +26,9 @@ replicates the serial evaluators' accumulation discipline (identical
 frozenset construction sequences, cached scalars recomputed by the
 family's own methods, sequential reduction order via the masked-cumsum
 identity ``x + 0.0 == x``), and it deliberately avoids numpy's
-transcendental ufuncs -- ``np.log1p``/``np.expm1`` are not bit-equal to
-the ``math`` module's libm calls on every platform, so the logsum
-kernel evaluates ``math.log1p`` per candidate and the homogeneous
-detection kernel gathers from a value table built by
-``value_of_count`` itself.
+transcendental ufuncs -- ``np.log1p`` is not bit-equal to the ``math``
+module's libm call on every platform, so the logsum kernel evaluates
+``math.log1p`` per candidate.
 
 Set ``REPRO_BATCHED=0`` to disable the batched routing everywhere (the
 serial path is the escape hatch, exactly as ``REPRO_INCREMENTAL=0`` is

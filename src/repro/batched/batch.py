@@ -33,9 +33,9 @@ from repro.utility.logsum import LogSumUtility
 from repro.utility.target_system import TargetSystem
 
 #: Family tags, matching the incremental evaluators' ``family`` strings.
+#: The detection families have no kernel: the serial key-ordered
+#: greedy (:mod:`repro.core.greedy`) beats one per instance.
 FAMILIES = (
-    "detection",
-    "homogeneous-detection",
     "logsum",
     "coverage",
     "area",
@@ -50,15 +50,10 @@ class BatchError(ValueError):
 def family_of(problem: SchedulingProblem) -> Optional[str]:
     """The batch-kernel family of the problem's utility, or ``None``.
 
-    Order matters: :class:`HomogeneousDetectionUtility` is not a
-    :class:`DetectionUtility` subclass, but :class:`CoverageCountUtility`
-    *is* a :class:`WeightedCoverageUtility` and must land on "coverage".
+    :class:`CoverageCountUtility` is a :class:`WeightedCoverageUtility`
+    and lands on "coverage".
     """
     fn = problem.utility
-    if isinstance(fn, HomogeneousDetectionUtility):
-        return "homogeneous-detection"
-    if isinstance(fn, DetectionUtility):
-        return "detection"
     if isinstance(fn, LogSumUtility):
         return "logsum"
     if isinstance(fn, WeightedCoverageUtility):
@@ -106,10 +101,6 @@ def batchable(problem: SchedulingProblem) -> Tuple[bool, str]:
 
 def _utility_spec(family: str, fn) -> Dict[str, object]:
     """Plain-python snapshot of the utility's defining data."""
-    if family == "detection":
-        return {"probabilities": dict(fn._probabilities)}
-    if family == "homogeneous-detection":
-        return {"sensors": tuple(sorted(fn.ground_set)), "p": fn.p}
     if family == "logsum":
         return {"weights": dict(fn._weights)}
     if family == "coverage":
@@ -131,10 +122,6 @@ def _utility_spec(family: str, fn) -> Dict[str, object]:
 
 
 def _rebuild_utility(family: str, spec: Dict[str, object]):
-    if family == "detection":
-        return DetectionUtility(spec["probabilities"])
-    if family == "homogeneous-detection":
-        return HomogeneousDetectionUtility(spec["sensors"], spec["p"])
     if family == "logsum":
         return LogSumUtility(spec["weights"])
     if family == "coverage":

@@ -1,4 +1,4 @@
-"""Vectorized cross-instance marginal-gain kernels, one per family.
+"""Vectorized cross-instance marginal-gain kernels, one per batched family.
 
 A kernel owns the per-``(instance, slot)`` running state for every
 member of an :class:`~repro.batched.batch.InstanceBatch` and answers
@@ -18,19 +18,16 @@ Bit-exactness discipline (the same three rules as
 1. Active sets are mutated by the exact serial op sequence
    (``S | {v}`` starting from ``frozenset()``), so any recomputation
    that iterates them sees the serial iteration order.
-2. Cached scalars (detection miss products, logsum totals, per-target
-   miss vectors) are recomputed *by the utility's own methods* over
+2. Cached scalars (logsum totals, per-target miss vectors) are recomputed *by the utility's own methods* over
    those set objects -- never updated arithmetically.
 3. Gain expressions reduce in the serial order.  Ragged per-sensor term
    lists are padded with exact-zero terms and reduced with
    ``np.cumsum`` (sequential left-to-right), which is bit-equal to the
    serial filtered ``sum`` because every real partial sum is
    ``>= +0.0`` and ``x + 0.0 == x`` exactly.
-4. **No transcendental ufuncs.**  ``np.log1p``/``np.expm1`` do not
-   bit-match libm's ``math.log1p``/``math.expm1`` everywhere, so the
-   logsum kernel calls ``math.log1p`` per candidate (the vector add
-   stays numpy) and the homogeneous-detection kernel gathers from a
-   table built by ``value_of_count`` itself.
+4. **No transcendental ufuncs.**  ``np.log1p`` does not bit-match
+   libm's ``math.log1p`` everywhere, so the logsum kernel calls
+   ``math.log1p`` per candidate (the vector add stays numpy).
 
 Padded entries (sensor ids beyond an instance's real count) always
 produce an exact ``0.0`` gain here; the greedy driver additionally
@@ -136,104 +133,6 @@ class BatchKernel:
 
     def _columns(self, pairs: List[Tuple[int, int]]) -> np.ndarray:
         raise NotImplementedError
-
-
-class DetectionKernel(BatchKernel):
-    """``gain = p_v * miss(S_t)`` with the miss product recomputed by
-    :meth:`DetectionUtility.miss_probability` on every mutation."""
-
-    family = "detection"
-
-    def __init__(self, batch: InstanceBatch):
-        super().__init__(batch)
-        self._fns = [p.utility for p in batch.problems]
-        # p_v per (instance, sensor); 0.0 for sensors outside the table
-        # and for padding -- both give the serial literal 0.0 gain.
-        self._p = np.zeros((self.N, self.n_max), dtype=np.float64)
-        for i, fn in enumerate(self._fns):
-            probs = fn._probabilities
-            for s in range(batch.problems[i].num_sensors):
-                p = probs.get(s)
-                if p is not None:
-                    self._p[i, s] = p
-        self._miss = [[1.0] * self.T for _ in range(self.N)]
-
-    def _on_apply(self, index: int, slot: int) -> None:
-        self._miss[index][slot] = self._fns[index].miss_probability(
-            self._active[index][slot]
-        )
-
-    def _initial(self) -> np.ndarray:
-        # miss(empty) == 1.0 and p * 1.0 == p exactly.
-        return self._p.copy()
-
-    def _columns(self, pairs: List[Tuple[int, int]]) -> np.ndarray:
-        rows = np.array([i for i, _ in pairs], dtype=np.intp)
-        miss = np.array(
-            [self._miss[i][t] for i, t in pairs], dtype=np.float64
-        )
-        return self._p[rows] * miss[:, None]
-
-
-class HomogeneousDetectionKernel(BatchKernel):
-    """Count-based gains gathered from a ``value_of_count`` table.
-
-    The table rows are built by the utility's own method (rule 2), so
-    the gather + subtract reproduces the serial
-    ``value_of_count(k+1) - value_of_count(k)`` bit-for-bit without
-    touching ``expm1``/``log1p`` in numpy.
-    """
-
-    family = "homogeneous-detection"
-
-    def __init__(self, batch: InstanceBatch):
-        super().__init__(batch)
-        self._grounds = [p.utility.ground_set for p in batch.problems]
-        self._in_ground = np.zeros((self.N, self.n_max), dtype=np.float64)
-        self._tables: List[np.ndarray] = []
-        for i, problem in enumerate(batch.problems):
-            fn = problem.utility
-            for s in range(problem.num_sensors):
-                if s in self._grounds[i]:
-                    self._in_ground[i, s] = 1.0
-            # Length n+2 so table[k+1] stays in range even at k == n.
-            self._tables.append(
-                np.array(
-                    [
-                        fn.value_of_count(k)
-                        for k in range(problem.num_sensors + 2)
-                    ],
-                    dtype=np.float64,
-                )
-            )
-        self._k = [[0] * self.T for _ in range(self.N)]
-
-    def _on_apply(self, index: int, slot: int) -> None:
-        # The count is an integer (it carries no rounding history), so
-        # recomputing it via the utility's own method is both rule-2
-        # clean and exact.
-        self._k[index][slot] = self.batch.problems[index].utility.count(
-            self._active[index][slot]
-        )
-
-    def _gain_scalar(self, index: int, slot: int) -> np.float64:
-        table = self._tables[index]
-        k = self._k[index][slot]
-        return table[k + 1] - table[k]
-
-    def _initial(self) -> np.ndarray:
-        gains = np.array(
-            [self._gain_scalar(i, 0) for i in range(self.N)],
-            dtype=np.float64,
-        )
-        return self._in_ground * gains[:, None]
-
-    def _columns(self, pairs: List[Tuple[int, int]]) -> np.ndarray:
-        rows = np.array([i for i, _ in pairs], dtype=np.intp)
-        gains = np.array(
-            [self._gain_scalar(i, t) for i, t in pairs], dtype=np.float64
-        )
-        return self._in_ground[rows] * gains[:, None]
 
 
 class LogSumKernel(BatchKernel):
@@ -542,8 +441,6 @@ class TargetSystemKernel(BatchKernel):
 
 
 _KERNELS: Dict[str, type] = {
-    "detection": DetectionKernel,
-    "homogeneous-detection": HomogeneousDetectionKernel,
     "logsum": LogSumKernel,
     "coverage": CoverageKernel,
     "area": AreaKernel,

@@ -7,20 +7,30 @@ assignments already made, until all ``n`` sensors are placed -- exactly
 schedule achieves at least 1/2 of the optimum, and (Thm. 4.3) that
 repeating it each period keeps the 1/2 bound for any ``L = alpha T``.
 
-Two equivalent implementations are provided:
+Three equivalent implementations are provided; all select the same
+pairs under the same deterministic tie-break (higher gain, then lower
+sensor id, then lower slot id), so the output schedule and every
+recorded gain are identical -- only the work differs:
 
 - ``lazy=False``: the literal algorithm -- every step scans all
-  remaining (sensor, slot) pairs.  O(n^2 T) utility evaluations.
-- ``lazy=True`` (default): a CELF-style lazy evaluation.  The marginal
-  gain of placing ``v`` in slot ``t`` only changes when some other
-  sensor is placed in the *same* slot ``t`` (slots do not interact),
-  and by submodularity it can only *decrease*.  We therefore keep a
-  max-heap of cached gains tagged with a per-slot version number and
-  re-evaluate only stale heads.  The selected pairs -- and hence the
-  output schedule -- are identical to the naive scan under the same
-  deterministic tie-breaking; only the work is reduced.
+  remaining (sensor, slot) pairs.  O(n^2 T) utility evaluations.  The
+  reference the others are differentially tested against.
+- ``lazy=True`` (default) on the two detection families (the problem's
+  own :class:`~repro.utility.detection.DetectionUtility` or
+  :class:`~repro.utility.detection.HomogeneousDetectionUtility` in
+  every slot, no ``slot_utilities`` override): a key-ordered scan
+  (:func:`_run_keyed`).  Gains are non-decreasing in one per-sensor
+  key, so one sort replaces the heap: n T to 2 n T evaluations.
+- ``lazy=True`` on every other family: a CELF-style lazy evaluation.
+  The marginal gain of placing ``v`` in slot ``t`` only changes when
+  some other sensor is placed in the *same* slot ``t`` (slots do not
+  interact), and by submodularity it can only *decrease*.  We therefore
+  keep a max-heap of cached gains tagged with a per-slot version number
+  and re-evaluate only stale heads.  (On the detection families every
+  placement stales a whole slot at once, which is why they take the
+  key-ordered scan instead.)
 
-Both variants record a :class:`GreedyTrace` of the placement order, the
+All variants record a :class:`GreedyTrace` of the placement order, the
 data behind the paper's Fig. 4 walkthrough.
 """
 
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.problem import SchedulingProblem
@@ -35,6 +46,10 @@ from repro.core.schedule import PeriodicSchedule, ScheduleMode
 from repro.obs import tracing
 from repro.obs.registry import get_registry
 from repro.utility.base import UtilityFunction
+from repro.utility.detection import (
+    DetectionUtility,
+    HomogeneousDetectionUtility,
+)
 from repro.utility.incremental import flush_ops, make_slot_evaluators
 from repro.utility.target_system import PerSlotUtility
 
@@ -102,7 +117,8 @@ def greedy_schedule(
         :func:`~repro.core.greedy_passive.greedy_passive_schedule` for
         rho <= 1.
     lazy:
-        Use the lazy-evaluation acceleration (same output, less work).
+        Use the key-ordered scan (detection families) or CELF lazy
+        evaluation (everything else): same output, less work.
     slot_utilities:
         Optional per-slot utility override (defaults to the problem's
         stationary utility in every slot).  Used internally by tests of
@@ -123,8 +139,11 @@ def greedy_schedule(
             "use greedy_passive_schedule for rho <= 1"
         )
     functions = _slot_functions(problem, slot_utilities)
+    keys = _sensor_keys(problem) if lazy and slot_utilities is None else None
     with tracing.span("greedy", variant="lazy" if lazy else "naive"):
-        if lazy:
+        if keys is not None:
+            assignment, steps = _run_keyed(problem, functions, keys)
+        elif lazy:
             assignment, steps = _run_lazy(problem, functions)
         else:
             assignment, steps = _run_naive(problem, functions)
@@ -243,6 +262,95 @@ def _run_lazy(
             )
         )
         order += 1
+    get_registry().counter(
+        "repro_greedy_marginal_evals_total", _EVALS_HELP, variant="lazy"
+    ).inc(evaluations)
+    flush_ops(evaluators)
+    return assignment, steps
+
+
+def _sensor_keys(problem: SchedulingProblem) -> Optional[dict]:
+    """Per-sensor keys each slot's gain is non-decreasing in, or ``None``.
+
+    Detection gains are ``p_v * miss(S_t)`` (``0.0`` off the table, as
+    for ``p_v = 0``); homogeneous gains are one value on the ground set
+    and ``0.0`` off it.  Exact types: a subclass may override ``marginal``.
+    """
+    fn = problem.utility
+    if type(fn) is DetectionUtility:
+        probabilities = fn.probabilities
+        return {v: probabilities.get(v, 0.0) for v in problem.sensors}
+    if type(fn) is HomogeneousDetectionUtility:
+        ground = fn.ground_set
+        return {v: float(v in ground) for v in problem.sensors}
+    return None
+
+
+def _run_keyed(
+    problem: SchedulingProblem,
+    functions: Sequence[UtilityFunction],
+    keys: dict,
+) -> Tuple[dict, List[GreedyStep]]:
+    """Key-ordered greedy: one sort, then ``n T`` to ``2 n T`` gains.
+
+    Sensors are sorted by ``(-key, id)`` and grouped into classes of
+    equal key.  Members of a class have equal gains in any slot state,
+    and a later class never gains more, so a slot's best unplaced
+    sensor is the lowest id among the heads of the leading classes
+    whose gains are float-equal; the scan stops at the first strictly
+    smaller head.  A zero head gain means every remaining gain in that
+    slot is zero, so the lowest unplaced id overall wins.  The best of
+    the ``T`` slot candidates is then the naive scan's choice, and its
+    recorded gain is that sensor's own evaluation, so the bits match.
+    """
+    T = problem.slots_per_period
+    ranked = sorted(problem.sensors, key=lambda v: (-keys[v], v))
+    # Each class is held in descending id order: pop() yields its head.
+    classes = [list(g)[::-1] for _, g in groupby(ranked, keys.__getitem__)]
+    class_of = {sensor: members for members in classes for sensor in members}
+    lowest = sorted(problem.sensors)
+    evaluators = make_slot_evaluators(functions)
+    assignment: dict = {}
+    steps: List[GreedyStep] = []
+    total = 0.0
+    evaluations = first = low = 0
+    for order in range(problem.num_sensors):
+        while not classes[first]:
+            first += 1
+        best_gain = best_sensor = best_slot = None
+        for slot in range(T):
+            gain_of = evaluators[slot].gain
+            sensor = classes[first][-1]
+            gain = gain_of(sensor)
+            evaluations += 1
+            if gain == 0.0:
+                while lowest[low] in assignment:
+                    low += 1
+                if lowest[low] != sensor:
+                    sensor = lowest[low]
+                    gain = gain_of(sensor)
+                    evaluations += 1
+            else:
+                for later in range(first + 1, len(classes)):
+                    members = classes[later]
+                    if not members:
+                        continue
+                    head = members[-1]
+                    head_gain = gain_of(head)
+                    evaluations += 1
+                    if head_gain < gain:
+                        break
+                    if head < sensor:
+                        sensor, gain = head, head_gain
+            if best_gain is None or gain > best_gain or (
+                gain == best_gain and sensor < best_sensor
+            ):
+                best_gain, best_sensor, best_slot = gain, sensor, slot
+        class_of[best_sensor].pop()
+        evaluators[best_slot].add(best_sensor)
+        assignment[best_sensor] = best_slot
+        total += best_gain
+        steps.append(GreedyStep(order, best_sensor, best_slot, best_gain, total))
     get_registry().counter(
         "repro_greedy_marginal_evals_total", _EVALS_HELP, variant="lazy"
     ).inc(evaluations)

@@ -41,6 +41,8 @@ def normalize_ratio(rho: float, tolerance: float = 1e-9) -> float:
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
+    if not math.isfinite(rho) or not math.isfinite(1.0 / rho):
+        raise ValueError(f"rho and 1/rho must be finite, got rho={rho}")
     if rho >= 1:
         nearest = round(rho)
         if abs(rho - nearest) > tolerance:

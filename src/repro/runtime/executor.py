@@ -302,7 +302,9 @@ def _plan_batches(
     serial downgrade does.  Eligible greedy tasks are grouped by
     ``(family, slots_per_period)``; groups need at least two members to
     beat a plain serial solve, so singletons fall back with their own
-    reason label.
+    reason label.  The detection families have no batch kernel (their
+    serial key-ordered greedy is faster per instance at every measured
+    width), so they take the serial path with reason ``family``.
     """
     if not auto_fallback or not batched_enabled():
         if tasks:

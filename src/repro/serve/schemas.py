@@ -40,6 +40,7 @@ Error body (any non-2xx)::
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,6 +73,14 @@ DEFAULT_MAX_SENSORS = 512
 #: Simulate requests are bounded separately: slots are linear but a
 #: single request must not monopolize a handler thread for minutes.
 DEFAULT_MAX_SLOTS = 100_000
+
+#: Caps on the period shape of any problem on the wire (code
+#: ``invalid-instance``).  They bound the work one request can cause:
+#: greedy spends about ``n * T`` gain evaluations for ``T`` slots per
+#: period, and a solve unrolls, checks and lists every slot of all
+#: ``num_periods`` -- at most ``DEFAULT_MAX_SLOTS`` slots at both caps.
+MAX_SLOTS_PER_PERIOD = 100
+MAX_PERIODS = 1_000
 
 
 class WireError(ValueError):
@@ -107,7 +116,16 @@ def _get_number(document: Dict[str, Any], field: str) -> Optional[float]:
         raise WireError(
             "invalid-field", f"{field!r} must be a number, got {value!r}"
         )
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    _require(
+        math.isfinite(number),
+        "invalid-instance",
+        f"{field!r} must be a finite number, got {number}",
+    )
+    return number
 
 
 def problem_from_wire(
@@ -162,12 +180,18 @@ def problem_from_wire(
         if isinstance(error, WireError):
             raise
         raise WireError("invalid-instance", str(error)) from error
+    _require(
+        period.slots_per_period <= MAX_SLOTS_PER_PERIOD,
+        "invalid-instance",
+        f"{period.slots_per_period} slots per period exceeds the service "
+        f"limit of {MAX_SLOTS_PER_PERIOD}",
+    )
 
     num_periods = _get_int(document, "num_periods", 1)
     _require(
-        num_periods >= 1,
+        num_periods is not None and 1 <= num_periods <= MAX_PERIODS,
         "invalid-instance",
-        f"num_periods must be >= 1, got {num_periods}",
+        f"num_periods must be in [1, {MAX_PERIODS}], got {num_periods}",
     )
 
     utility_doc = document.get("utility")

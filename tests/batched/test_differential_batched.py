@@ -3,12 +3,15 @@
 :func:`repro.batched.greedy.solve_batch` claims bit-for-bit equality
 with a serial ``[solve(p, method="greedy") for p in problems]`` loop --
 not approximate equality, not same-utility: identical selections,
-identical schedules, identical recomputed totals.  The matrix below
-compares canonical result payloads (minus the wall-time field) as
-bytes, across every kernel family, the pinned batch sizes, the sparse
-charge ratios and a seed axis, plus the degenerate shapes (empty
-instances, ragged padding, singleton batches) where mask handling has
-to carry the whole argument.
+identical schedules, identical recomputed totals.  So does the
+executor's :func:`~repro.runtime.executor.solve_many`, whichever route
+it picks.  The matrix below compares canonical result payloads (minus
+the wall-time field) as bytes, across every routed family, the pinned
+batch sizes, the sparse charge ratios and a seed axis, plus the
+degenerate shapes (empty instances, ragged padding, singleton batches)
+where mask handling has to carry the whole argument.  Kernel families
+are checked through ``solve_batch`` and ``solve_many``; the detection
+families, which have no kernel, must route serially at every width.
 
 ``tests/batched/test_mutation.py`` proves this harness has teeth: with
 the driver's masking or a kernel's cover state corrupted, these exact
@@ -28,6 +31,7 @@ from repro.runtime.executor import solve_many
 
 from tests.conftest import (
     BATCH_FAMILIES,
+    ROUTED_FAMILIES,
     random_batch_problems,
     random_problem,
 )
@@ -49,27 +53,35 @@ def result_bytes(result) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def assert_batched_equals_serial(problems) -> None:
-    batched = solve_batch(list(problems))
+def assert_batched_equals_serial(problems, family) -> None:
     serial = [solve(p, method="greedy") for p in problems]
-    for position, (b, s) in enumerate(zip(batched, serial)):
-        assert result_bytes(b) == result_bytes(s), (
-            f"batched and serial greedy diverge on member {position} "
-            f"of a {len(problems)}-instance batch"
+    routed, telemetry = solve_many([(p, "greedy", None) for p in problems])
+    paths = {"solve_many": routed}
+    if family in BATCH_FAMILIES:
+        paths["solve_batch"] = solve_batch(list(problems))
+    else:
+        assert not any(record.batched for record in telemetry), (
+            f"{family} has no batch kernel but was routed to one"
         )
+    for path, results in paths.items():
+        for position, (b, s) in enumerate(zip(results, serial)):
+            assert result_bytes(b) == result_bytes(s), (
+                f"{path} and serial greedy diverge on member {position} "
+                f"of a {len(problems)}-instance batch"
+            )
 
 
 def ragged_sizes(seed: int, batch_size: int, family: str) -> list:
     """Deterministic per-test member sizes in 1..6 (never 0: the
     target-system generator cannot build empty instances; the n == 0
     edge is covered by the dedicated degenerate tests below)."""
-    base = BATCH_FAMILIES.index(family)
+    base = ROUTED_FAMILIES.index(family)
     return [
         1 + (seed * 31 + base * 7 + k * 13) % 6 for k in range(batch_size)
     ]
 
 
-@pytest.mark.parametrize("family", BATCH_FAMILIES)
+@pytest.mark.parametrize("family", ROUTED_FAMILIES)
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batched_equals_serial(family, batch_size, seed):
@@ -80,17 +92,17 @@ def test_batched_equals_serial(family, batch_size, seed):
         sizes=ragged_sizes(seed, batch_size, family),
         rho=rho,
     )
-    assert_batched_equals_serial(problems)
+    assert_batched_equals_serial(problems, family)
 
 
-@pytest.mark.parametrize("family", BATCH_FAMILIES)
+@pytest.mark.parametrize("family", ROUTED_FAMILIES)
 @pytest.mark.parametrize("rho", SPARSE_RHOS)
 def test_batched_equals_serial_across_rhos(family, rho):
     problems = random_batch_problems(
         seed=900 + SPARSE_RHOS.index(rho), family=family,
         sizes=(3, 5, 2, 6), rho=rho,
     )
-    assert_batched_equals_serial(problems)
+    assert_batched_equals_serial(problems, family)
 
 
 # ---------------------------------------------------------------------------
@@ -99,40 +111,40 @@ def test_batched_equals_serial_across_rhos(family, rho):
 
 
 @pytest.mark.parametrize(
-    "family", [f for f in BATCH_FAMILIES if f != "target-system"]
+    "family", [f for f in ROUTED_FAMILIES if f != "target-system"]
 )
 def test_empty_instances_ride_along(family):
     """n == 0 members finish before round one and must round-trip."""
     problems = random_batch_problems(
         seed=77, family=family, sizes=(0, 4, 0, 2), rho=2.0
     )
-    assert_batched_equals_serial(problems)
+    assert_batched_equals_serial(problems, family)
 
 
 @pytest.mark.parametrize(
-    "family", [f for f in BATCH_FAMILIES if f != "target-system"]
+    "family", [f for f in ROUTED_FAMILIES if f != "target-system"]
 )
 def test_batch_of_all_empty_instances(family):
     problems = random_batch_problems(
         seed=78, family=family, sizes=(0, 0, 0), rho=1.0
     )
-    assert_batched_equals_serial(problems)
+    assert_batched_equals_serial(problems, family)
 
 
 def test_singleton_batch_each_family():
-    for family in BATCH_FAMILIES:
+    for family in ROUTED_FAMILIES:
         problems = random_batch_problems(
             seed=79, family=family, sizes=(5,), rho=3.0
         )
-        assert_batched_equals_serial(problems)
+        assert_batched_equals_serial(problems, family)
 
 
 def test_maximally_ragged_batch():
     """Sizes 1..8 in one batch: every padding width is exercised."""
     problems = random_batch_problems(
-        seed=80, family="detection", sizes=tuple(range(1, 9)), rho=2.0
+        seed=80, family="logsum", sizes=tuple(range(1, 9)), rho=2.0
     )
-    assert_batched_equals_serial(problems)
+    assert_batched_equals_serial(problems, "logsum")
 
 
 # ---------------------------------------------------------------------------

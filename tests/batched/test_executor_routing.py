@@ -18,7 +18,11 @@ from repro.runtime.cache import ScheduleCache
 from repro.runtime.executor import solve_many
 
 from tests.batched.test_differential_batched import result_bytes
-from tests.conftest import random_batch_problems, random_problem
+from tests.conftest import (
+    SERIAL_FAMILIES,
+    random_batch_problems,
+    random_problem,
+)
 
 
 def greedy_tasks(problems):
@@ -40,22 +44,22 @@ def _fresh_registry():
 class TestBatchedRouting:
     def test_group_of_distinct_tasks_is_batched(self):
         problems = random_batch_problems(
-            seed=21, family="detection", sizes=(4, 3, 5, 2), rho=2.0
+            seed=21, family="logsum", sizes=(4, 3, 5, 2), rho=2.0
         )
         results, telemetry = solve_many(greedy_tasks(problems))
         assert all(record.batched for record in telemetry)
         registry = get_registry()
         assert registry.sample_value(
-            "repro_batched_batches_total", family="detection"
+            "repro_batched_batches_total", family="logsum"
         ) == 1
         assert registry.sample_value(
-            "repro_batched_instances_total", family="detection"
+            "repro_batched_instances_total", family="logsum"
         ) == 4
         assert len(results) == 4
 
     def test_mixed_families_form_separate_batches(self):
         problems = random_batch_problems(
-            seed=22, family="detection", sizes=(3, 4), rho=2.0
+            seed=22, family="weighted-coverage", sizes=(3, 4), rho=2.0
         ) + random_batch_problems(
             seed=22, family="logsum", sizes=(3, 4), rho=2.0
         )
@@ -63,7 +67,7 @@ class TestBatchedRouting:
         assert all(record.batched for record in telemetry)
         registry = get_registry()
         assert registry.sample_value(
-            "repro_batched_batches_total", family="detection"
+            "repro_batched_batches_total", family="coverage"
         ) == 1
         assert registry.sample_value(
             "repro_batched_batches_total", family="logsum"
@@ -83,9 +87,19 @@ class TestBatchedRouting:
 
 
 class TestFallbackReasons:
+    @pytest.mark.parametrize("family", SERIAL_FAMILIES)
+    def test_detection_families_route_serially(self, family):
+        """No kernel: the serial key-ordered greedy beats one."""
+        problems = random_batch_problems(
+            seed=34, family=family, sizes=(4, 3, 5), rho=3.0
+        )
+        _results, telemetry = solve_many(greedy_tasks(problems))
+        assert not any(record.batched for record in telemetry)
+        assert fallbacks("family") == 3
+
     def test_singleton_group_falls_back(self):
         problems = random_batch_problems(
-            seed=24, family="detection", sizes=(4,), rho=2.0
+            seed=24, family="logsum", sizes=(4,), rho=2.0
         )
         _results, telemetry = solve_many(greedy_tasks(problems))
         assert not telemetry[0].batched
@@ -93,7 +107,7 @@ class TestFallbackReasons:
 
     def test_dense_regime_falls_back(self):
         problems = [
-            random_problem(seed=25 + i, rho=0.5, family="detection")
+            random_problem(seed=25 + i, rho=0.5, family="logsum")
             for i in range(2)
         ]
         _results, telemetry = solve_many(greedy_tasks(problems))
@@ -102,7 +116,7 @@ class TestFallbackReasons:
 
     def test_non_greedy_method_falls_back(self):
         problems = random_batch_problems(
-            seed=26, family="detection", sizes=(4, 5), rho=2.0
+            seed=26, family="logsum", sizes=(4, 5), rho=2.0
         )
         tasks = [(p, "greedy-naive", None) for p in problems]
         _results, telemetry = solve_many(tasks)
@@ -112,7 +126,7 @@ class TestFallbackReasons:
     def test_disabled_toggle_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCHED", "0")
         problems = random_batch_problems(
-            seed=27, family="detection", sizes=(4, 5), rho=2.0
+            seed=27, family="logsum", sizes=(4, 5), rho=2.0
         )
         _results, telemetry = solve_many(greedy_tasks(problems))
         assert not any(record.batched for record in telemetry)
@@ -120,12 +134,12 @@ class TestFallbackReasons:
         # Falsy, not "is None": a previously-created series survives a
         # registry reset at value 0.0.
         assert not get_registry().sample_value(
-            "repro_batched_batches_total", family="detection"
+            "repro_batched_batches_total", family="logsum"
         )
 
     def test_forced_pool_falls_back(self):
         problems = random_batch_problems(
-            seed=28, family="detection", sizes=(4, 5), rho=2.0
+            seed=28, family="logsum", sizes=(4, 5), rho=2.0
         )
         _results, telemetry = solve_many(
             greedy_tasks(problems), jobs=2, auto_fallback=False
@@ -152,7 +166,7 @@ class TestDedupAndCacheInterplay:
         """Duplicate tasks dedup onto one representative; with just one
         unique instance left there is nothing to batch (the singleton
         reason fires) and the duplicates report cache hits."""
-        problem = random_problem(seed=30, rho=2.0, family="detection")
+        problem = random_problem(seed=30, rho=2.0, family="logsum")
         _results, telemetry = solve_many(
             greedy_tasks([problem, problem, problem])
         )
@@ -162,7 +176,7 @@ class TestDedupAndCacheInterplay:
 
     def test_duplicates_of_batched_representatives_fan_out(self):
         problems = random_batch_problems(
-            seed=31, family="detection", sizes=(4, 3), rho=2.0
+            seed=31, family="logsum", sizes=(4, 3), rho=2.0
         )
         tasks = greedy_tasks(problems + problems)
         results, telemetry = solve_many(tasks)
@@ -178,7 +192,7 @@ class TestDedupAndCacheInterplay:
     def test_warm_cache_leaves_nothing_to_batch(self, tmp_path):
         cache = ScheduleCache(directory=tmp_path / "cache")
         problems = random_batch_problems(
-            seed=32, family="detection", sizes=(4, 3, 5), rho=2.0
+            seed=32, family="logsum", sizes=(4, 3, 5), rho=2.0
         )
         first, _ = solve_many(greedy_tasks(problems), cache=cache)
         get_registry().reset()
@@ -186,7 +200,7 @@ class TestDedupAndCacheInterplay:
         assert all(record.cache == "hit" for record in telemetry)
         assert not any(record.batched for record in telemetry)
         assert not get_registry().sample_value(
-            "repro_batched_batches_total", family="detection"
+            "repro_batched_batches_total", family="logsum"
         )
         assert [result_bytes(r) for r in first] == (
             [result_bytes(r) for r in second]
@@ -194,7 +208,7 @@ class TestDedupAndCacheInterplay:
 
     def test_coalescing_callback_sees_batched_groups(self):
         problems = random_batch_problems(
-            seed=33, family="detection", sizes=(4, 3), rho=2.0
+            seed=33, family="logsum", sizes=(4, 3), rho=2.0
         )
         seen = []
         solve_many(

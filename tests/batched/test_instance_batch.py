@@ -28,6 +28,7 @@ from repro.utility.target_system import TargetSystem
 from tests.batched.test_differential_batched import result_bytes
 from tests.conftest import (
     BATCH_FAMILIES,
+    SERIAL_FAMILIES,
     random_batch_problems,
     random_problem,
 )
@@ -50,7 +51,7 @@ class TestPaddingInvariants:
         assert batch.sensor_mask.sum(axis=1).tolist() == list(sizes)
 
     def test_mask_is_a_prefix_per_row(self):
-        batch = build("detection", (2, 5, 0))
+        batch = build("logsum", (2, 5, 0))
         for i, n in enumerate((2, 5, 0)):
             row = batch.sensor_mask[i]
             assert row[:n].all()
@@ -70,7 +71,7 @@ class TestPaddingInvariants:
         assert len(batch) == batch.size == 3
 
     def test_mask_dtype_is_bool(self):
-        batch = build("detection", (1, 3))
+        batch = build("logsum", (1, 3))
         assert batch.sensor_mask.dtype == np.bool_
 
 
@@ -111,13 +112,19 @@ class TestRoundTrip:
 
 class TestEligibility:
     def test_dense_regime_rejected_with_rho_reason(self):
-        problem = random_problem(seed=5, rho=0.5, family="detection")
+        problem = random_problem(seed=5, rho=0.5, family="logsum")
         ok, reason = batchable(problem)
         assert (ok, reason) == (False, "rho")
 
     def test_eligible_problem_reports_ok(self):
-        problem = random_problem(seed=5, rho=2.0, family="detection")
+        problem = random_problem(seed=5, rho=2.0, family="logsum")
         assert batchable(problem) == (True, "ok")
+
+    @pytest.mark.parametrize("family", SERIAL_FAMILIES)
+    def test_detection_families_have_no_kernel(self, family):
+        problem = random_problem(seed=5, rho=2.0, family=family)
+        assert family_of(problem) is None
+        assert batchable(problem) == (False, "family")
 
     def test_unsupported_family_rejected(self):
         # A target system with homogeneous children defeats the fast
@@ -148,7 +155,7 @@ class TestBuildRejections:
 
     def test_mixed_families(self):
         mixed = random_batch_problems(
-            seed=7, family="detection", sizes=(3,), rho=2.0
+            seed=7, family="weighted-coverage", sizes=(3,), rho=2.0
         ) + random_batch_problems(
             seed=7, family="logsum", sizes=(3,), rho=2.0
         )
@@ -157,9 +164,9 @@ class TestBuildRejections:
 
     def test_mixed_slot_counts(self):
         mixed = random_batch_problems(
-            seed=8, family="detection", sizes=(3,), rho=3.0
+            seed=8, family="logsum", sizes=(3,), rho=3.0
         ) + random_batch_problems(
-            seed=8, family="detection", sizes=(3,), rho=2.0
+            seed=8, family="logsum", sizes=(3,), rho=2.0
         )
         assert mixed[0].slots_per_period != mixed[1].slots_per_period
         with pytest.raises(BatchError, match="mixed slots_per_period"):
@@ -167,8 +174,8 @@ class TestBuildRejections:
 
     def test_ineligible_member_named_by_position(self):
         good = random_batch_problems(
-            seed=9, family="detection", sizes=(3,), rho=2.0
+            seed=9, family="logsum", sizes=(3,), rho=2.0
         )
-        bad = random_problem(seed=9, rho=0.5, family="detection")
+        bad = random_problem(seed=9, rho=0.5, family="logsum")
         with pytest.raises(BatchError, match=r"problem 1 .*rho"):
             InstanceBatch.build(good + [bad])

@@ -31,9 +31,10 @@ def coverage_problems():
     )
 
 
-def detection_problems():
+def target_system_problems():
+    """Per-target miss products: stale ones must change gains."""
     return random_batch_problems(
-        seed=42, family="detection", sizes=(6, 4, 5), rho=3.0
+        seed=42, family="target-system", sizes=(6, 4, 5), rho=3.0
     )
 
 
@@ -56,7 +57,7 @@ def batched_matches_serial(problems) -> bool:
 
 def test_sanity_unmutated_paths_agree():
     assert batched_matches_serial(coverage_problems())
-    assert batched_matches_serial(detection_problems())
+    assert batched_matches_serial(target_system_problems())
 
 
 def test_ignoring_the_candidacy_mask_is_caught(monkeypatch):
@@ -66,7 +67,7 @@ def test_ignoring_the_candidacy_mask_is_caught(monkeypatch):
     monkeypatch.setattr(
         greedy_module, "_mask_gains", lambda raw, alive: raw.copy()
     )
-    assert not batched_matches_serial(detection_problems())
+    assert not batched_matches_serial(target_system_problems())
 
 
 def test_weakening_the_mask_sentinel_is_caught(monkeypatch):
@@ -100,16 +101,17 @@ def test_stale_cover_counters_are_caught(monkeypatch):
 
 
 def test_stale_miss_products_are_caught(monkeypatch):
-    """Mutation: the detection kernel's miss products stay at 1.0, so
-    slots never saturate and the greedy piles everything onto one."""
+    """Mutation: the target-system kernel's per-target miss products
+    stay at 1.0, so slots never saturate and the greedy piles
+    everything onto one."""
     monkeypatch.setattr(
-        kernels_module.DetectionKernel,
+        kernels_module.TargetSystemKernel,
         "_on_apply",
         lambda self, index, slot: None,
     )
-    assert not batched_matches_serial(detection_problems())
+    assert not batched_matches_serial(target_system_problems())
 
 
 def test_mutations_do_not_leak(monkeypatch):
     """monkeypatch-scoped corruption must not survive the test."""
-    assert batched_matches_serial(detection_problems())
+    assert batched_matches_serial(target_system_problems())

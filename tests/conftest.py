@@ -196,9 +196,16 @@ def random_area_problem(
     )
 
 
-#: The batched-kernel families: the five wire families plus area
-#: coverage, which only the dedicated generator above can build.
-BATCH_FAMILIES = UTILITY_FAMILIES + ("area",)
+#: Every greedy family the executor routes: the five wire families plus
+#: area coverage, which only the dedicated generator above can build.
+ROUTED_FAMILIES = UTILITY_FAMILIES + ("area",)
+
+#: The families with no batch kernel: their serial key-ordered greedy
+#: beats one, so the executor always routes them serially.
+SERIAL_FAMILIES = ("homogeneous-detection", "detection")
+
+#: The batched-kernel families.
+BATCH_FAMILIES = tuple(f for f in ROUTED_FAMILIES if f not in SERIAL_FAMILIES)
 
 
 def random_batch_problems(

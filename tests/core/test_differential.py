@@ -20,10 +20,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.batched.greedy import solve_batch
 from repro.core.baselines import high_energy_first_schedule
 from repro.core.solver import solve
 from repro.io.serialization import schedule_to_dict
+from repro.runtime.executor import solve_many
 from repro.runtime.fingerprint import canonical_json
 from repro.utility.area import AreaCoverageUtility, Subregion
 from repro.utility.incremental import make_evaluator
@@ -213,10 +213,11 @@ HEF_SPARSE_RHOS = (1.0, 2.0, 3.0)
 def test_greedy_dominates_high_energy_first(family, rho):
     """The global greedy matches or beats the per-sensor HEF ordering.
 
-    The greedy side runs through :func:`repro.batched.greedy.solve_batch`,
+    The greedy side runs through :func:`repro.runtime.executor.solve_many`,
     so this doubles as a cross-implementation check: the batched kernels
-    against an independently-coded baseline, compared on recomputed
-    utilities rather than schedule bytes.
+    (or, for the detection families, the key-ordered greedy) against an
+    independently-coded baseline, compared on recomputed utilities
+    rather than schedule bytes.
     """
     problems = [
         random_problem(
@@ -224,7 +225,7 @@ def test_greedy_dominates_high_energy_first(family, rho):
         )
         for i in range(5)
     ]
-    greedy_results = solve_batch(problems)
+    greedy_results, _ = solve_many([(p, "greedy", None) for p in problems])
     for problem, result in zip(problems, greedy_results):
         hef = high_energy_first_schedule(problem)
         hef_total = hef.total_utility(problem.utility)

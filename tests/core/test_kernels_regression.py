@@ -7,6 +7,9 @@ they show up as wall-clock noise in the benchmarks:
 - the marginal-utility evaluations the lazy greedy spends on a fixed
   200-sensor weighted-coverage instance -- a change that weakens the
   lazy pruning (or reverts to per-step rescans) fails here;
+- the evaluations the key-ordered greedy spends on fixed n = 500,
+  T = 4 homogeneous and heterogeneous detection instances -- at most
+  2 n T, where the CELF heap spent about 10^5;
 - the vectorized kernel passes the batched greedy issues on a fixed
   uniform batch -- exactly ``n`` passes (one initial + one per
   non-final round), *independent of the batch width*.  A change that
@@ -28,6 +31,10 @@ from repro.core.solver import solve
 from repro.energy.period import ChargingPeriod
 from repro.obs.registry import get_registry
 from repro.utility.coverage_count import WeightedCoverageUtility
+from repro.utility.detection import (
+    DetectionUtility,
+    HomogeneousDetectionUtility,
+)
 
 SENSORS = 200
 SEED = 42
@@ -103,6 +110,52 @@ class TestEvalCountRegression:
             f"REPRO_INCREMENTAL={flag}: {count:.0f} evaluations vs the "
             f"pinned {LAZY_EVALS_BASELINE}"
         )
+
+
+# ---------------------------------------------------------------------------
+# Key-ordered greedy: about n T evaluations on the detection families
+# ---------------------------------------------------------------------------
+
+KEYED_SENSORS = 500
+
+#: Measured when the key-ordered path landed (the CELF heap spent
+#: 102,859 and 120,784 on these instances).  May get *better*, never
+#: worse.
+KEYED_EVALS_BASELINE = {"homogeneous-detection": 2000, "detection": 3996}
+
+
+def keyed_problem(family: str) -> SchedulingProblem:
+    n = KEYED_SENSORS
+    if family == "homogeneous-detection":
+        utility = HomogeneousDetectionUtility(range(n), p=0.4)
+    else:
+        rng = np.random.default_rng(SEED)
+        utility = DetectionUtility(
+            {v: float(p) for v, p in enumerate(rng.uniform(0.2, 0.7, n))}
+        )
+    return SchedulingProblem(
+        num_sensors=n, period=ChargingPeriod.paper_sunny(), utility=utility
+    )
+
+
+class TestKeyedEvalCountRegression:
+    @pytest.mark.parametrize("family", sorted(KEYED_EVALS_BASELINE))
+    def test_keyed_eval_count_no_worse_than_baseline(self, family):
+        registry = get_registry()
+        registry.reset()
+        problem = keyed_problem(family)
+        solve(problem, method="greedy")
+        count = registry.sample_value(
+            "repro_greedy_marginal_evals_total", variant="lazy"
+        )
+        assert count is not None, "keyed greedy did not bill variant=lazy"
+        baseline = KEYED_EVALS_BASELINE[family]
+        assert count <= baseline, (
+            f"key-ordered greedy spent {count:.0f} evaluations on the "
+            f"pinned {family} instance (baseline {baseline})"
+        )
+        assert count <= 2 * problem.num_sensors * problem.slots_per_period
+        assert count >= problem.num_sensors
 
 
 # ---------------------------------------------------------------------------
